@@ -29,6 +29,12 @@ import sys
 from numbers import Number
 
 
+def reject_constant(name):
+    """json parse_constant hook: NaN and Infinity are not JSON, so a
+    trace carrying them is malformed (non-finite args must be null)."""
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def check_event(ev, i, errors):
     if not isinstance(ev, dict):
         errors.append(f"event {i}: not an object")
@@ -80,8 +86,8 @@ def main():
     errors = []
     try:
         with open(opts.trace, encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+            doc = json.load(f, parse_constant=reject_constant)
+    except (OSError, ValueError) as e:
         print(f"error: {opts.trace}: {e}", file=sys.stderr)
         return 1
 

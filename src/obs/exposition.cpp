@@ -2,6 +2,9 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <sstream>
+
+#include "support/json.hpp"
 
 namespace parlap::obs {
 
@@ -137,33 +140,29 @@ std::string render_prometheus(const std::vector<MetricSample>& samples) {
 }
 
 std::string render_metrics_json(const std::vector<MetricSample>& samples) {
-  std::string out = "{\"schema\":\"parlap-metrics-v1\",\"metrics\":[";
-  bool first = true;
+  std::ostringstream os;
+  JsonWriter w(os);
+  w.begin_object();
+  w.member("schema", "parlap-metrics-v1");
+  w.key("metrics");
+  w.begin_array();
   for (const MetricSample& s : samples) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"name\":\"";
-    out += s.name;  // registry names are dotted identifiers, no escapes
-    out += "\",\"kind\":\"";
-    out += kind_string(s.kind);
-    out += "\",\"value\":";
-    append_double(out, s.value);
+    w.begin_object();
+    w.member("name", s.name);
+    w.member("kind", kind_string(s.kind));
+    w.member("value", s.value);
     if (s.kind == MetricSample::Kind::kHistogram) {
-      out += ",\"count\":";
-      append_u64(out, s.count);
-      out += ",\"mean\":";
-      append_double(out, s.mean);
-      out += ",\"p50\":";
-      append_double(out, s.p50);
-      out += ",\"p95\":";
-      append_double(out, s.p95);
-      out += ",\"p99\":";
-      append_double(out, s.p99);
+      w.member("count", s.count);
+      w.member("mean", s.mean);
+      w.member("p50", s.p50);
+      w.member("p95", s.p95);
+      w.member("p99", s.p99);
     }
-    out += "}";
+    w.end_object();
   }
-  out += "]}";
-  return out;
+  w.end_array();
+  w.end_object();
+  return os.str();
 }
 
 }  // namespace parlap::obs

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <unordered_set>
 
-#include "service/json.hpp"
 #include "support/precision.hpp"
 
 namespace parlap::service {

@@ -38,6 +38,8 @@
 #include <string>
 #include <vector>
 
+#include "support/json.hpp"
+
 namespace parlap::service {
 
 /// One solve request, as parsed from a JSONL line (defaults applied).
@@ -58,8 +60,6 @@ struct SolveJob {
   std::string precision;
   bool project_rhs = false;
 };
-
-class JsonValue;
 
 /// Parses one already-parsed job object — the request shape shared by
 /// JSONL batch files and the parlap_serve wire protocol. `where`

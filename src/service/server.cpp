@@ -11,11 +11,12 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "linalg/kernels/kernels.hpp"
@@ -25,52 +26,35 @@
 #include "obs/trace.hpp"
 #include "obs/window.hpp"
 #include "parallel/for_each.hpp"
-#include "service/json.hpp"
 #include "support/check.hpp"
+#include "support/json.hpp"
 #include "support/timer.hpp"
 
 namespace parlap::service {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Wire-format helpers: tiny append-style JSON writing. The server emits
-// flat one-line objects, so a full writer (bench/harness JsonWriter) is
-// more machinery than the job needs — and src/service deliberately does
-// not depend on the bench tree.
-// ---------------------------------------------------------------------------
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        // Control chars must be escaped; high bytes are escaped too so
-        // an error message echoing hostile input stays valid UTF-8.
-        if (static_cast<unsigned char>(c) < 0x20 ||
-            static_cast<unsigned char>(c) >= 0x7f) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
+/// One JSON object rendered as one protocol/event-log line; `members`
+/// writes the object's members.
+template <typename Members>
+std::string json_line(Members&& members) {
+  std::ostringstream os;
+  JsonWriter w(os);
+  w.begin_object();
+  members(w);
+  w.end_object();
+  return os.str();
 }
 
-void append_json_number(std::string& out, double v) {
-  if (!std::isfinite(v)) v = 0.0;  // JSON has no inf/nan
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
+/// {"type":"error","status":"error"[,"id":...],"error":...}
+std::string error_line(std::string_view message,
+                       const std::string* id = nullptr) {
+  return json_line([&](JsonWriter& w) {
+    w.member("type", "error");
+    w.member("status", "error");
+    if (id != nullptr) w.member("id", *id);
+    w.member("error", message);
+  });
 }
 
 std::string hex_hash(std::uint64_t h) {
@@ -80,45 +64,23 @@ std::string hex_hash(std::uint64_t h) {
   return std::string(buf);
 }
 
-/// {"count":N,"mean":x,"p50":x,"p95":x,"p99":x} from a registry histogram.
-void append_histogram_digest(std::string& out, const char* key,
-                             const obs::LatencyHistogram& h) {
-  out += '"';
-  out += key;
-  out += "\":{\"count\":";
-  out += std::to_string(h.count());
-  out += ",\"mean\":";
-  append_json_number(out, h.mean_seconds());
-  out += ",\"p50\":";
-  append_json_number(out, h.percentile_seconds(0.50));
-  out += ",\"p95\":";
-  append_json_number(out, h.percentile_seconds(0.95));
-  out += ",\"p99\":";
-  append_json_number(out, h.percentile_seconds(0.99));
-  out += '}';
+/// "key":{"count":N,"mean":x,"p50":x,"p95":x,"p99":x} — the one digest
+/// shape for lifetime histograms and rolling windows alike.
+void write_digest(JsonWriter& w, std::string_view key, std::uint64_t count,
+                  double mean, double p50, double p95, double p99) {
+  w.key(key);
+  w.begin_object();
+  w.member("count", count);
+  w.member("mean", mean);
+  w.member("p50", p50);
+  w.member("p95", p95);
+  w.member("p99", p99);
+  w.end_object();
 }
 
 /// The stats "window" block and the windowed instruments report this
 /// span (docs/SERVING.md documents the 60s contract).
 constexpr std::uint64_t kStatsWindowNs = 60'000'000'000ull;
-
-/// Same shape as append_histogram_digest, from a window digest.
-void append_window_digest(std::string& out, const char* key,
-                          const obs::WindowDigest& d) {
-  out += '"';
-  out += key;
-  out += "\":{\"count\":";
-  out += std::to_string(d.count);
-  out += ",\"mean\":";
-  append_json_number(out, d.mean);
-  out += ",\"p50\":";
-  append_json_number(out, d.p50);
-  out += ",\"p95\":";
-  append_json_number(out, d.p95);
-  out += ",\"p99\":";
-  append_json_number(out, d.p99);
-  out += '}';
-}
 
 void set_nonblocking_cloexec(int fd) {
   ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
@@ -126,6 +88,41 @@ void set_nonblocking_cloexec(int fd) {
 }
 
 }  // namespace
+
+std::string result_line(const JobResult& result, std::uint64_t request_id,
+                        double queue_seconds) {
+  return json_line([&](JsonWriter& w) {
+    w.member("type", "result");
+    w.member("id", result.id);
+    w.member("request_id", request_id);
+    if (!result.ok) {
+      w.member("status", "error");
+      w.member("error", result.error);
+      return;
+    }
+    w.member("status", "ok");
+    w.member("cache_hit", result.cache_hit);
+    w.member("converged", result.report.converged);
+    w.member("iterations", result.report.iterations);
+    w.member("precision", precision_name(result.report.precision));
+    w.member("relative_residual", result.report.relative_residual);
+    w.member("solve_seconds", result.report.solve_seconds);
+    w.member("wall_seconds", result.wall_seconds);
+    w.member("queue_seconds", queue_seconds);
+    w.key("timings");
+    w.begin_object();
+    w.member("queue_wait_ms", queue_seconds * 1e3);
+    w.member("cache", result.cache_hit ? "hit" : "miss");
+    w.member("build_ms", result.build_seconds * 1e3);
+    w.member("solve_ms", result.report.solve_seconds * 1e3);
+    // Refinement breakdown: outer fp64 refinement iterations and the
+    // escalation rounds (fp32 -> fp64 rebuilds) this solve needed.
+    w.member("refinement_iterations", result.report.iterations);
+    w.member("escalations", result.report.escalations);
+    w.end_object();
+    w.member("solution_hash", hex_hash(result.solution_hash));
+  });
+}
 
 // ---------------------------------------------------------------------------
 // Internal structs
@@ -331,16 +328,13 @@ void SolveServer::start() {
   start_ns_ = steady_now_ns();
   started_ = true;
   if (event_log_.enabled()) {
-    std::string ev = "{\"event\":\"server_start\",\"ts\":";
-    append_json_number(ev, obs::unix_now_seconds());
-    ev += ",\"workers\":";
-    ev += std::to_string(options_.workers);
-    ev += ",\"socket\":";
-    append_json_string(ev, options_.socket_path);
-    ev += ",\"tcp_port\":";
-    ev += std::to_string(tcp_port_);
-    ev += '}';
-    event_log_.append(ev);
+    event_log_.append(json_line([&](JsonWriter& w) {
+      w.member("event", "server_start");
+      w.member("ts", obs::unix_now_seconds());
+      w.member("workers", options_.workers);
+      w.member("socket", options_.socket_path);
+      w.member("tcp_port", tcp_port_);
+    }));
   }
   workers_.reserve(static_cast<std::size_t>(options_.workers));
   for (int w = 0; w < options_.workers; ++w) {
@@ -415,79 +409,25 @@ void SolveServer::worker_main() {
     metrics_->completed.add();
     metrics_->completed_window.add();
 
-    std::string line = "{\"type\":\"result\",\"id\":";
-    append_json_string(line, result.id);
-    line += ",\"request_id\":";
-    line += std::to_string(pj.request_id);
-    if (result.ok) {
-      line += ",\"status\":\"ok\",\"cache_hit\":";
-      line += result.cache_hit ? "true" : "false";
-      line += ",\"converged\":";
-      line += result.report.converged ? "true" : "false";
-      line += ",\"iterations\":";
-      line += std::to_string(result.report.iterations);
-      line += ",\"precision\":\"";
-      line += precision_name(result.report.precision);
-      line += "\",\"relative_residual\":";
-      append_json_number(line, result.report.relative_residual);
-      line += ",\"solve_seconds\":";
-      append_json_number(line, result.report.solve_seconds);
-      line += ",\"wall_seconds\":";
-      append_json_number(line, result.wall_seconds);
-      line += ",\"queue_seconds\":";
-      append_json_number(line, queue_seconds);
-      line += ",\"timings\":{\"queue_wait_ms\":";
-      append_json_number(line, queue_seconds * 1e3);
-      line += ",\"cache\":\"";
-      line += result.cache_hit ? "hit" : "miss";
-      line += "\",\"build_ms\":";
-      append_json_number(line, result.build_seconds * 1e3);
-      line += ",\"solve_ms\":";
-      append_json_number(line, result.report.solve_seconds * 1e3);
-      // Refinement breakdown: outer fp64 refinement iterations and the
-      // escalation rounds (fp32 -> fp64 rebuilds) this solve needed.
-      line += ",\"refinement_iterations\":";
-      line += std::to_string(result.report.iterations);
-      line += ",\"escalations\":";
-      line += std::to_string(result.report.escalations);
-      line += "},\"solution_hash\":\"";
-      line += hex_hash(result.solution_hash);
-      line += "\"}";
-    } else {
-      line += ",\"status\":\"error\",\"error\":";
-      append_json_string(line, result.error);
-      line += '}';
-    }
+    std::string line = result_line(result, pj.request_id, queue_seconds);
 
     // Slow-request journal: every completed solve at or past the
     // --slow-ms wall threshold (0 = all) gets one JSONL event.
     if (event_log_.enabled() && result.wall_seconds * 1e3 >= options_.slow_ms) {
-      std::string ev = "{\"event\":\"request\",\"ts\":";
-      append_json_number(ev, obs::unix_now_seconds());
-      ev += ",\"request_id\":";
-      ev += std::to_string(pj.request_id);
-      ev += ",\"id\":";
-      append_json_string(ev, result.id);
-      ev += ",\"session\":";
-      ev += std::to_string(pj.session_id);
-      ev += ",\"status\":\"";
-      ev += result.ok ? "ok" : "error";
-      ev += "\",\"cache\":\"";
-      ev += result.cache_hit ? "hit" : "miss";
-      ev += "\",\"queue_wait_ms\":";
-      append_json_number(ev, queue_seconds * 1e3);
-      ev += ",\"build_ms\":";
-      append_json_number(ev, result.build_seconds * 1e3);
-      ev += ",\"solve_ms\":";
-      append_json_number(ev, result.report.solve_seconds * 1e3);
-      ev += ",\"wall_ms\":";
-      append_json_number(ev, result.wall_seconds * 1e3);
-      if (!result.ok) {
-        ev += ",\"error\":";
-        append_json_string(ev, result.error);
-      }
-      ev += '}';
-      event_log_.append(ev);
+      event_log_.append(json_line([&](JsonWriter& w) {
+        w.member("event", "request");
+        w.member("ts", obs::unix_now_seconds());
+        w.member("request_id", pj.request_id);
+        w.member("id", result.id);
+        w.member("session", pj.session_id);
+        w.member("status", result.ok ? "ok" : "error");
+        w.member("cache", result.cache_hit ? "hit" : "miss");
+        w.member("queue_wait_ms", queue_seconds * 1e3);
+        w.member("build_ms", result.build_seconds * 1e3);
+        w.member("solve_ms", result.report.solve_seconds * 1e3);
+        w.member("wall_ms", result.wall_seconds * 1e3);
+        if (!result.ok) w.member("error", result.error);
+      }));
     }
 
     // Publish the result BEFORE releasing the in-flight slot: once
@@ -605,12 +545,11 @@ void SolveServer::serve() {
   }
   if (!options_.socket_path.empty()) ::unlink(options_.socket_path.c_str());
   if (event_log_.enabled()) {
-    std::string ev = "{\"event\":\"drain_complete\",\"ts\":";
-    append_json_number(ev, obs::unix_now_seconds());
-    ev += ",\"completed\":";
-    ev += std::to_string(completed_count_.load(std::memory_order_relaxed));
-    ev += '}';
-    event_log_.append(ev);
+    event_log_.append(json_line([&](JsonWriter& w) {
+      w.member("event", "drain_complete");
+      w.member("ts", obs::unix_now_seconds());
+      w.member("completed", completed_count_.load(std::memory_order_relaxed));
+    }));
   }
 }
 
@@ -624,14 +563,12 @@ void SolveServer::begin_drain() {
       depth = queued_jobs_;
       inflight = in_flight_;
     }
-    std::string ev = "{\"event\":\"drain_begin\",\"ts\":";
-    append_json_number(ev, obs::unix_now_seconds());
-    ev += ",\"queued\":";
-    ev += std::to_string(depth);
-    ev += ",\"in_flight\":";
-    ev += std::to_string(inflight);
-    ev += '}';
-    event_log_.append(ev);
+    event_log_.append(json_line([&](JsonWriter& w) {
+      w.member("event", "drain_begin");
+      w.member("ts", obs::unix_now_seconds());
+      w.member("queued", depth);
+      w.member("in_flight", inflight);
+    }));
   }
   if (unix_fd_ >= 0) {
     ::close(unix_fd_);
@@ -678,6 +615,10 @@ void SolveServer::accept_ready(int listen_fd) {
 }
 
 void SolveServer::read_ready(Session& s) {
+  const auto oversized_line_error = [this] {
+    return error_line("request line exceeds " +
+                      std::to_string(options_.max_line_bytes) + " bytes");
+  };
   char buf[65536];
   bool saw_eof = false;
   while (true) {
@@ -713,11 +654,7 @@ void SolveServer::read_ready(Session& s) {
           if (!line.empty() && line.back() == '\r') line.pop_back();
           if (line.size() > options_.max_line_bytes) {
             metrics_->errors.add();
-            respond(s,
-                    "{\"type\":\"error\",\"status\":\"error\",\"error\":"
-                    "\"request line exceeds " +
-                        std::to_string(options_.max_line_bytes) +
-                        " bytes\"}");
+            respond(s, oversized_line_error());
           } else {
             handle_line(s, line);
           }
@@ -725,10 +662,7 @@ void SolveServer::read_ready(Session& s) {
         }
         if (s.rbuf.size() > options_.max_line_bytes) {
           metrics_->errors.add();
-          respond(s,
-                  "{\"type\":\"error\",\"status\":\"error\",\"error\":"
-                  "\"request line exceeds " +
-                      std::to_string(options_.max_line_bytes) + " bytes\"}");
+          respond(s, oversized_line_error());
           s.rbuf.clear();
           s.rbuf.shrink_to_fit();
           s.discarding = true;
@@ -806,10 +740,7 @@ void SolveServer::handle_line(Session& s, const std::string& line) {
     }
   } catch (const std::exception& e) {
     metrics_->errors.add();
-    std::string out = "{\"type\":\"error\",\"status\":\"error\",\"error\":";
-    append_json_string(out, e.what());
-    out += '}';
-    respond(s, std::move(out));
+    respond(s, error_line(e.what()));
     return;
   }
 
@@ -818,9 +749,7 @@ void SolveServer::handle_line(Session& s, const std::string& line) {
   if (type_v != nullptr) {
     if (!type_v->is_string()) {
       metrics_->errors.add();
-      respond(s,
-              "{\"type\":\"error\",\"status\":\"error\",\"error\":"
-              "\"type must be a string\"}");
+      respond(s, error_line("type must be a string"));
       return;
     }
     type = type_v->as_string();
@@ -828,7 +757,10 @@ void SolveServer::handle_line(Session& s, const std::string& line) {
   span.arg("solve", type == "solve" ? 1.0 : 0.0);
 
   if (type == "ping") {
-    respond(s, "{\"type\":\"pong\",\"status\":\"ok\"}");
+    respond(s, json_line([](JsonWriter& w) {
+              w.member("type", "pong");
+              w.member("status", "ok");
+            }));
     return;
   }
   if (type == "stats") {
@@ -842,28 +774,26 @@ void SolveServer::handle_line(Session& s, const std::string& line) {
     metrics_->scrapes.add();
     const std::string text =
         obs::render_prometheus(obs::MetricsRegistry::global().snapshot());
-    std::string out = "{\"type\":\"metrics\",\"status\":\"ok\""
-                      ",\"content_type\":";
-    append_json_string(out, obs::kPrometheusContentType);
-    out += ",\"text\":";
-    append_json_string(out, text);
-    out += '}';
-    respond(s, std::move(out));
+    respond(s, json_line([&](JsonWriter& w) {
+              w.member("type", "metrics");
+              w.member("status", "ok");
+              w.member("content_type", obs::kPrometheusContentType);
+              w.member("text", text);
+            }));
     return;
   }
   if (type == "shutdown") {
-    respond(s, "{\"type\":\"shutdown\",\"status\":\"ok\"}");
+    respond(s, json_line([](JsonWriter& w) {
+              w.member("type", "shutdown");
+              w.member("status", "ok");
+            }));
     request_drain();
     return;
   }
   if (type != "solve") {
     metrics_->errors.add();
-    std::string out = "{\"type\":\"error\",\"status\":\"error\",\"error\":";
-    append_json_string(out, "unknown request type '" + type +
-                               "' (want solve, stats, metrics, ping, "
-                               "shutdown)");
-    out += '}';
-    respond(s, std::move(out));
+    respond(s, error_line("unknown request type '" + type +
+                          "' (want solve, stats, metrics, ping, shutdown)"));
     return;
   }
 
@@ -874,17 +804,11 @@ void SolveServer::handle_line(Session& s, const std::string& line) {
                            /*allow_type_field=*/true);
   } catch (const std::exception& e) {
     metrics_->errors.add();
-    std::string out = "{\"type\":\"error\",\"status\":\"error\"";
     // Correlate the schema error with the request when possible.
     const JsonValue* idv = doc.find("id");
-    if (idv != nullptr && idv->is_string()) {
-      out += ",\"id\":";
-      append_json_string(out, idv->as_string());
-    }
-    out += ",\"error\":";
-    append_json_string(out, e.what());
-    out += '}';
-    respond(s, std::move(out));
+    respond(s, error_line(e.what(), idv != nullptr && idv->is_string()
+                                        ? &idv->as_string()
+                                        : nullptr));
     return;
   }
   handle_solve(s, std::move(job), line.size(), rid);
@@ -895,12 +819,13 @@ void SolveServer::handle_solve(Session& s, SolveJob job,
                                std::uint64_t request_id) {
   if (draining_) {
     metrics_->rejected.add();
-    std::string out = "{\"type\":\"result\",\"id\":";
-    append_json_string(out, job.id);
-    out += ",\"request_id\":";
-    out += std::to_string(request_id);
-    out += ",\"status\":\"rejected\",\"error\":\"server is draining\"}";
-    respond(s, std::move(out));
+    respond(s, json_line([&](JsonWriter& w) {
+              w.member("type", "result");
+              w.member("id", job.id);
+              w.member("request_id", request_id);
+              w.member("status", "rejected");
+              w.member("error", "server is draining");
+            }));
     return;
   }
   std::size_t depth_seen = 0;
@@ -937,28 +862,23 @@ void SolveServer::handle_solve(Session& s, SolveJob job,
   metrics_->shed.add();
   metrics_->shed_window.add();
   if (event_log_.enabled()) {
-    std::string ev = "{\"event\":\"shed\",\"ts\":";
-    append_json_number(ev, obs::unix_now_seconds());
-    ev += ",\"request_id\":";
-    ev += std::to_string(request_id);
-    ev += ",\"id\":";
-    append_json_string(ev, job.id);
-    ev += ",\"queue_depth\":";
-    ev += std::to_string(depth_seen);
-    ev += '}';
-    event_log_.append(ev);
+    event_log_.append(json_line([&](JsonWriter& w) {
+      w.member("event", "shed");
+      w.member("ts", obs::unix_now_seconds());
+      w.member("request_id", request_id);
+      w.member("id", job.id);
+      w.member("queue_depth", depth_seen);
+    }));
   }
-  std::string out = "{\"type\":\"result\",\"id\":";
-  append_json_string(out, job.id);
-  out += ",\"request_id\":";
-  out += std::to_string(request_id);
-  out += ",\"status\":\"overloaded\",\"error\":\"admission queue full\""
-         ",\"retry_after_ms\":";
-  out += std::to_string(options_.retry_after_ms);
-  out += ",\"queue_depth\":";
-  out += std::to_string(depth_seen);
-  out += '}';
-  respond(s, std::move(out));
+  respond(s, json_line([&](JsonWriter& w) {
+            w.member("type", "result");
+            w.member("id", job.id);
+            w.member("request_id", request_id);
+            w.member("status", "overloaded");
+            w.member("error", "admission queue full");
+            w.member("retry_after_ms", options_.retry_after_ms);
+            w.member("queue_depth", depth_seen);
+          }));
 }
 
 void SolveServer::respond_http(Session& s) {
@@ -1022,70 +942,6 @@ std::string SolveServer::stats_response() {
                 static_cast<double>(cache.lookups())
           : 0.0;
 
-  std::string out = "{\"type\":\"stats\",\"status\":\"ok\"";
-  out += ",\"uptime_seconds\":";
-  append_json_number(
-      out, static_cast<double>(steady_now_ns() - start_ns_) * 1e-9);
-  out += ",\"draining\":";
-  out += draining_ ? "true" : "false";
-  out += ",\"workers\":";
-  out += std::to_string(options_.workers);
-  out += ",\"queue_limit\":";
-  out += std::to_string(options_.max_queue_depth);
-  out += ",\"queue_depth\":";
-  out += std::to_string(depth);
-  out += ",\"queued_bytes\":";
-  out += std::to_string(bytes);
-  out += ",\"in_flight\":";
-  out += std::to_string(inflight);
-  out += ",\"sessions\":";
-  out += std::to_string(sessions_.size());
-  // Config echo: black-box suites read the launch configuration from
-  // here instead of hard-coding the daemon's flags.
-  out += ",\"config\":{\"workers\":";
-  out += std::to_string(options_.workers);
-  out += ",\"queue_limit\":";
-  out += std::to_string(options_.max_queue_depth);
-  out += ",\"max_queued_bytes\":";
-  out += std::to_string(options_.max_queued_bytes);
-  out += ",\"max_line_bytes\":";
-  out += std::to_string(options_.max_line_bytes);
-  out += ",\"idle_timeout_ms\":";
-  out += std::to_string(options_.idle_timeout_ms);
-  out += ",\"retry_after_ms\":";
-  out += std::to_string(options_.retry_after_ms);
-  out += ",\"cache_budget_entries\":";
-  out += std::to_string(options_.cache_budget_entries);
-  out += ",\"graph_cache_limit\":";
-  out += std::to_string(options_.graph_cache_limit);
-  out += ",\"tcp_port\":";
-  out += std::to_string(tcp_port_);
-  out += ",\"socket\":";
-  append_json_string(out, options_.socket_path);
-  out += ",\"slow_ms\":";
-  append_json_number(out, options_.slow_ms);
-  out += ",\"event_log\":";
-  append_json_string(out, options_.event_log_path);
-  // Kernel dispatch + NUMA placement actually in effect (post-CPUID
-  // clamp), so a dashboard can tell a scalar-forced daemon from an AVX2
-  // host at a glance.
-  out += ",\"simd_detected\":";
-  append_json_string(out,
-                     kernels::simd_level_name(kernels::detected_simd_level()));
-  out += ",\"simd_active\":";
-  append_json_string(out,
-                     kernels::simd_level_name(kernels::active_simd_level()));
-  out += ",\"numa\":";
-  append_json_string(out,
-                     kernels::numa_policy_name(kernels::active_numa_policy()));
-  out += ",\"numa_nodes\":";
-  out += std::to_string(kernels::numa_node_count());
-  // Default precision mode for requests without their own field ("auto"
-  // is echoed as spelled — it resolves per graph at solve time).
-  out += ",\"precision\":";
-  append_json_string(
-      out, options_.precision.empty() ? "fp64" : options_.precision);
-  out += '}';
   // Rolling last-60s view next to the lifetime digests below, so a
   // dashboard can tell "slow now" from "slow once, long ago".
   const obs::WindowDigest wsolve =
@@ -1098,47 +954,93 @@ std::string SolveServer::stats_response() {
   // Divide (exact for powers of ten) instead of scaling by 1e-9 so the
   // 60s window serializes as "60", not "60.000000000000007".
   const double window_seconds = static_cast<double>(kStatsWindowNs) / 1e9;
-  out += ",\"window\":{\"window_seconds\":";
-  append_json_number(out, window_seconds);
-  out += ",\"completed\":";
-  out += std::to_string(wcompleted);
-  out += ",\"shed\":";
-  out += std::to_string(wshed);
-  out += ",\"throughput_per_second\":";
-  append_json_number(out, static_cast<double>(wcompleted) / window_seconds);
-  out += ',';
-  append_window_digest(out, "solve_seconds", wsolve);
-  out += ',';
-  append_window_digest(out, "queue_wait_seconds", wqueue);
-  out += '}';
-  out += ",\"counters\":{";
-  out += "\"sessions\":" + std::to_string(metrics_->sessions.value());
-  out += ",\"requests\":" + std::to_string(metrics_->requests.value());
-  out += ",\"admitted\":" + std::to_string(metrics_->admitted.value());
-  out += ",\"completed\":" + std::to_string(metrics_->completed.value());
-  out += ",\"shed\":" + std::to_string(metrics_->shed.value());
-  out += ",\"rejected\":" + std::to_string(metrics_->rejected.value());
-  out += ",\"errors\":" + std::to_string(metrics_->errors.value());
-  out += ",\"idle_reaped\":" + std::to_string(metrics_->idle_reaped.value());
-  out += ",\"scrapes\":" + std::to_string(metrics_->scrapes.value());
-  out += "},";
-  append_histogram_digest(out, "solve_seconds", metrics_->solve_seconds);
-  out += ',';
-  append_histogram_digest(out, "queue_wait_seconds",
-                          metrics_->queue_wait_seconds);
-  out += ",\"cache\":{";
-  out += "\"hits\":" + std::to_string(cache.hits);
-  out += ",\"misses\":" + std::to_string(cache.misses);
-  out += ",\"evictions\":" + std::to_string(cache.evictions);
-  out += ",\"resident_count\":" + std::to_string(cache.resident_count);
-  out += ",\"hit_rate\":";
-  append_json_number(out, hit_rate);
-  out += ",\"build_seconds\":";
-  append_json_number(out, cache.build_seconds);
-  out += ",\"single_flight_waits\":" +
-         std::to_string(cache.single_flight_waits);
-  out += "}}";
-  return out;
+
+  return json_line([&](JsonWriter& w) {
+    w.member("type", "stats");
+    w.member("status", "ok");
+    w.member("uptime_seconds",
+             static_cast<double>(steady_now_ns() - start_ns_) * 1e-9);
+    w.member("draining", draining_);
+    w.member("workers", options_.workers);
+    w.member("queue_limit", options_.max_queue_depth);
+    w.member("queue_depth", depth);
+    w.member("queued_bytes", bytes);
+    w.member("in_flight", inflight);
+    w.member("sessions", sessions_.size());
+    // Config echo: black-box suites read the launch configuration from
+    // here instead of hard-coding the daemon's flags.
+    w.key("config");
+    w.begin_object();
+    w.member("workers", options_.workers);
+    w.member("queue_limit", options_.max_queue_depth);
+    w.member("max_queued_bytes", options_.max_queued_bytes);
+    w.member("max_line_bytes", options_.max_line_bytes);
+    w.member("idle_timeout_ms", options_.idle_timeout_ms);
+    w.member("retry_after_ms", options_.retry_after_ms);
+    w.member("cache_budget_entries", options_.cache_budget_entries);
+    w.member("graph_cache_limit", options_.graph_cache_limit);
+    w.member("tcp_port", tcp_port_);
+    w.member("socket", options_.socket_path);
+    w.member("slow_ms", options_.slow_ms);
+    w.member("event_log", options_.event_log_path);
+    // Kernel dispatch + NUMA placement actually in effect (post-CPUID
+    // clamp), so a dashboard can tell a scalar-forced daemon from an
+    // AVX2 host at a glance.
+    w.member("simd_detected",
+             kernels::simd_level_name(kernels::detected_simd_level()));
+    w.member("simd_active",
+             kernels::simd_level_name(kernels::active_simd_level()));
+    w.member("numa", kernels::numa_policy_name(kernels::active_numa_policy()));
+    w.member("numa_nodes", kernels::numa_node_count());
+    // Default precision mode for requests without their own field
+    // ("auto" is echoed as spelled — it resolves per graph at solve
+    // time).
+    w.member("precision",
+             options_.precision.empty() ? "fp64" : options_.precision);
+    w.end_object();
+    w.key("window");
+    w.begin_object();
+    w.member("window_seconds", window_seconds);
+    w.member("completed", wcompleted);
+    w.member("shed", wshed);
+    w.member("throughput_per_second",
+             static_cast<double>(wcompleted) / window_seconds);
+    write_digest(w, "solve_seconds", wsolve.count, wsolve.mean, wsolve.p50,
+                 wsolve.p95, wsolve.p99);
+    write_digest(w, "queue_wait_seconds", wqueue.count, wqueue.mean,
+                 wqueue.p50, wqueue.p95, wqueue.p99);
+    w.end_object();
+    w.key("counters");
+    w.begin_object();
+    w.member("sessions", metrics_->sessions.value());
+    w.member("requests", metrics_->requests.value());
+    w.member("admitted", metrics_->admitted.value());
+    w.member("completed", metrics_->completed.value());
+    w.member("shed", metrics_->shed.value());
+    w.member("rejected", metrics_->rejected.value());
+    w.member("errors", metrics_->errors.value());
+    w.member("idle_reaped", metrics_->idle_reaped.value());
+    w.member("scrapes", metrics_->scrapes.value());
+    w.end_object();
+    const auto lifetime = [&w](const char* key,
+                               const obs::LatencyHistogram& h) {
+      write_digest(w, key, h.count(), h.mean_seconds(),
+                   h.percentile_seconds(0.50), h.percentile_seconds(0.95),
+                   h.percentile_seconds(0.99));
+    };
+    lifetime("solve_seconds", metrics_->solve_seconds);
+    lifetime("queue_wait_seconds", metrics_->queue_wait_seconds);
+    w.key("cache");
+    w.begin_object();
+    w.member("hits", cache.hits);
+    w.member("misses", cache.misses);
+    w.member("evictions", cache.evictions);
+    w.member("resident_count", cache.resident_count);
+    w.member("hit_rate", hit_rate);
+    w.member("build_seconds", cache.build_seconds);
+    w.member("single_flight_waits", cache.single_flight_waits);
+    w.end_object();
+  });
 }
 
 void SolveServer::respond(Session& s, std::string line) {
@@ -1153,6 +1055,10 @@ void SolveServer::flush_session(Session& s) {
         ::send(s.fd, s.wbuf.data(), s.wbuf.size(), MSG_NOSIGNAL);
     if (n > 0) {
       s.wbuf.erase(0, static_cast<std::size_t>(n));
+      // Idleness counts from the last byte out as well as the last byte
+      // in: a reply that took longer than the idle limit to compute must
+      // not get its session reaped the moment it is sent.
+      if (s.wbuf.empty()) s.last_activity_ns = steady_now_ns();
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
@@ -1175,6 +1081,7 @@ void SolveServer::deliver_completed() {
     Session& s = *it->second;
     PARLAP_CHECK(s.pending > 0);
     --s.pending;
+    s.last_activity_ns = steady_now_ns();
     if (!s.broken) respond(s, std::move(c.line));
   }
 }

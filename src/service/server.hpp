@@ -114,6 +114,12 @@ struct ServerOptions {
   std::string precision{};
 };
 
+/// The served `result` line for a completed job (docs/SERVING.md "Wire
+/// protocol"), without the trailing newline.
+[[nodiscard]] std::string result_line(const JobResult& result,
+                                      std::uint64_t request_id,
+                                      double queue_seconds);
+
 class SolveServer {
  public:
   explicit SolveServer(ServerOptions options);

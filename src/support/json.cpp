@@ -1,11 +1,13 @@
-#include "service/json.hpp"
+#include "support/json.hpp"
 
 #include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <ostream>
 #include <stdexcept>
 
-namespace parlap::service {
+namespace parlap {
 
 namespace {
 
@@ -273,4 +275,114 @@ JsonValue parse_json(std::string_view text) {
   return Parser(text).parse_document();
 }
 
-}  // namespace parlap::service
+// ---------------------------------------------------------------------------
+// JsonWriter
+// ---------------------------------------------------------------------------
+
+void JsonWriter::begin_value() {
+  if (!after_key_ && needs_comma_.back()) out_ << ',';
+  if (!after_key_) needs_comma_.back() = true;
+  after_key_ = false;
+}
+
+void JsonWriter::begin_object() {
+  begin_value();
+  out_ << '{';
+  needs_comma_.push_back(false);
+}
+
+void JsonWriter::end_object() {
+  needs_comma_.pop_back();
+  out_ << '}';
+}
+
+void JsonWriter::begin_array() {
+  begin_value();
+  out_ << '[';
+  needs_comma_.push_back(false);
+}
+
+void JsonWriter::end_array() {
+  needs_comma_.pop_back();
+  out_ << ']';
+}
+
+void JsonWriter::key(std::string_view k) {
+  if (needs_comma_.back()) out_ << ',';
+  needs_comma_.back() = true;
+  out_ << escape(k) << ':';
+  after_key_ = true;
+}
+
+void JsonWriter::value(std::string_view s) {
+  begin_value();
+  out_ << escape(s);
+}
+
+void JsonWriter::value(double d) {
+  begin_value();
+  out_ << format_number(d);
+}
+
+void JsonWriter::value(std::int64_t i) {
+  begin_value();
+  out_ << i;
+}
+
+void JsonWriter::value(std::uint64_t u) {
+  begin_value();
+  out_ << u;
+}
+
+void JsonWriter::value(bool b) {
+  begin_value();
+  out_ << (b ? "true" : "false");
+}
+
+void JsonWriter::null() {
+  begin_value();
+  out_ << "null";
+}
+
+std::string JsonWriter::escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  out.push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default: {
+        const auto byte = static_cast<unsigned char>(c);
+        if (byte < 0x20 || byte >= 0x7f) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(byte));
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+      }
+    }
+  }
+  out.push_back('"');
+  return out;
+}
+
+std::string JsonWriter::format_number(double d) {
+  if (!std::isfinite(d)) return "null";
+  constexpr double kExactInt = 9007199254740992.0;  // 2^53
+  if (d == std::floor(d) && std::fabs(d) < kExactInt) {
+    return std::to_string(static_cast<std::int64_t>(d));
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", d);
+  return buf;
+}
+
+}  // namespace parlap

@@ -10,9 +10,13 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <random>
 #include <thread>
 #include <vector>
+
+#include "obs/exposition.hpp"
+#include "support/json.hpp"
 
 namespace parlap::obs {
 namespace {
@@ -225,6 +229,31 @@ TEST(MetricsTest, SnapshotExportsSortedSamplesAndResetZeroes) {
     EXPECT_EQ(s.value, 0.0) << s.name;
     EXPECT_EQ(s.count, 0u) << s.name;
   }
+}
+
+TEST(MetricsTest, JsonSnapshotWritesNonFiniteValuesAsNull) {
+  MetricSample nan_gauge;
+  nan_gauge.name = "t.nan";
+  nan_gauge.kind = MetricSample::Kind::kGauge;
+  nan_gauge.value = std::nan("");
+  MetricSample inf_hist;
+  inf_hist.name = "t.inf";
+  inf_hist.kind = MetricSample::Kind::kHistogram;
+  inf_hist.value = std::numeric_limits<double>::infinity();
+  inf_hist.count = 3;
+  inf_hist.p99 = -std::numeric_limits<double>::infinity();
+
+  // JSON has no NaN/Inf: the snapshot must parse, with null values.
+  const JsonValue doc = parse_json(render_metrics_json({nan_gauge, inf_hist}));
+  EXPECT_EQ(doc.find("schema")->as_string(), "parlap-metrics-v1");
+  const JsonValue::Array& metrics = doc.find("metrics")->as_array();
+  ASSERT_EQ(metrics.size(), 2u);
+  EXPECT_EQ(metrics[0].find("name")->as_string(), "t.nan");
+  EXPECT_TRUE(metrics[0].find("value")->is_null());
+  EXPECT_TRUE(metrics[1].find("value")->is_null());
+  EXPECT_EQ(metrics[1].find("count")->as_number(), 3.0);
+  EXPECT_EQ(metrics[1].find("p50")->as_number(), 0.0);
+  EXPECT_TRUE(metrics[1].find("p99")->is_null());
 }
 
 }  // namespace

@@ -7,13 +7,14 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "service/json.hpp"
+#include "support/json.hpp"
 
 namespace {
 
@@ -55,11 +56,11 @@ namespace {
 
 /// Checked member lookup on a parsed trace document; fails the test with
 /// the missing key's name instead of dereferencing null.
-const service::JsonValue& at(const service::JsonValue& v, const char* key) {
-  const service::JsonValue* member = v.find(key);
+const JsonValue& at(const JsonValue& v, const char* key) {
+  const JsonValue* member = v.find(key);
   EXPECT_NE(member, nullptr) << "missing key: " << key;
   if (member == nullptr) {
-    static const service::JsonValue null_value;
+    static const JsonValue null_value;
     return null_value;
   }
   return *member;
@@ -109,7 +110,7 @@ TEST(TraceTest, EnabledSpansEmitValidChromeJson) {
 
   std::ostringstream os;
   tracer.write_chrome(os);
-  const service::JsonValue doc = service::parse_json(os.str());
+  const JsonValue doc = parse_json(os.str());
   const auto& events = at(doc, "traceEvents").as_array();
   ASSERT_EQ(events.size(), 3u);
 
@@ -118,7 +119,7 @@ TEST(TraceTest, EnabledSpansEmitValidChromeJson) {
   bool saw_worker = false;
   std::uint64_t main_tid = 0;
   std::uint64_t worker_tid = 0;
-  for (const service::JsonValue& ev : events) {
+  for (const JsonValue& ev : events) {
     EXPECT_EQ(at(ev, "ph").as_string(), "X");
     EXPECT_EQ(at(ev, "cat").as_string(), "test");
     EXPECT_GE(at(ev, "ts").as_number(), 0.0);
@@ -152,12 +153,12 @@ TEST(TraceTest, NestedSpanIsContainedInParent) {
   tracer.disable();
   std::ostringstream os;
   tracer.write_chrome(os);
-  const service::JsonValue doc = service::parse_json(os.str());
+  const JsonValue doc = parse_json(os.str());
   double parent_ts = -1;
   double parent_end = -1;
   double child_ts = -1;
   double child_end = -1;
-  for (const service::JsonValue& ev : at(doc, "traceEvents").as_array()) {
+  for (const JsonValue& ev : at(doc, "traceEvents").as_array()) {
     const double ts = at(ev, "ts").as_number();
     const double end = ts + at(ev, "dur").as_number();
     if (at(ev, "name").as_string() == "parent") {
@@ -189,10 +190,31 @@ TEST(TraceTest, ManualEndClosesOnceAndArgsStick) {
   EXPECT_EQ(tracer.event_count(), 1u);
   std::ostringstream os;
   tracer.write_chrome(os);
-  const service::JsonValue doc = service::parse_json(os.str());
+  const JsonValue doc = parse_json(os.str());
   const auto& events = at(doc, "traceEvents").as_array();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(at(at(events[0], "args"), "k").as_number(), 7.0);
+  tracer.clear();
+}
+
+TEST(TraceTest, NonFiniteArgsSerializeAsNull) {
+  Tracer& tracer = Tracer::instance();
+  tracer.clear();
+  tracer.enable();
+  {
+    PARLAP_TRACE_SPAN_N(span, "nonfinite", "test");
+    span.arg("nan", std::numeric_limits<double>::quiet_NaN());
+    span.arg("inf", -std::numeric_limits<double>::infinity());
+  }
+  tracer.disable();
+  std::ostringstream os;
+  tracer.write_chrome(os);
+  // JSON has no NaN/Inf: the document must still parse, with null args.
+  const JsonValue doc = parse_json(os.str());
+  const auto& events = at(doc, "traceEvents").as_array();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_TRUE(at(at(events[0], "args"), "nan").is_null());
+  EXPECT_TRUE(at(at(events[0], "args"), "inf").is_null());
   tracer.clear();
 }
 
@@ -222,7 +244,7 @@ TEST(TraceTest, ClearedEventsDoNotReappear) {
   tracer.clear();
   std::ostringstream os;
   tracer.write_chrome(os);
-  const service::JsonValue doc = service::parse_json(os.str());
+  const JsonValue doc = parse_json(os.str());
   EXPECT_TRUE(at(doc, "traceEvents").as_array().empty());
 }
 

@@ -18,6 +18,17 @@ import tempfile
 import time
 
 
+def reject_constant(name):
+    """json parse_constant hook: the daemon must never emit NaN or
+    Infinity (JSON has neither; non-finite numbers go out as null)."""
+    raise ValueError("non-standard JSON constant %s" % name)
+
+
+def loads_strict(text):
+    """json.loads that rejects NaN/Infinity instead of accepting them."""
+    return json.loads(text, parse_constant=reject_constant)
+
+
 class ServeClient:
     """One connection to a running daemon."""
 
@@ -60,7 +71,7 @@ class ServeClient:
                 return None
             self._buf += chunk
         line, self._buf = self._buf.split(b"\n", 1)
-        return json.loads(line)
+        return loads_strict(line)
 
     def recv_eof(self, timeout=30.0):
         """True if the server closes the connection without another line."""

@@ -12,7 +12,6 @@ request_id on every serve-cat span (the drain span excepted), and its
 counts reconcile with the burst.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -20,7 +19,7 @@ import tempfile
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from serve_client import Checker, ServeDaemon, fast_job, slow_job
+from serve_client import Checker, ServeDaemon, fast_job, loads_strict, slow_job
 
 
 def test_sigterm_mid_burst(c, binary, trace_path, metrics_path):
@@ -108,8 +107,8 @@ def test_metrics_snapshot(c, metrics_path, n_burst):
     c.check(os.path.exists(metrics_path), "daemon wrote the metrics file")
     try:
         with open(metrics_path) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+            doc = loads_strict(f.read())
+    except (OSError, ValueError) as e:
         c.check(False, "metrics snapshot parses as JSON: %s" % e)
         return
     c.check(doc.get("schema") == "parlap-metrics-v1",

@@ -19,9 +19,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "support/json.hpp"
 
 namespace parlap::service {
 namespace {
@@ -418,6 +421,47 @@ TEST(SolveServer, DisconnectPurgesQueuedJobs) {
     ::usleep(50 * 1000);
   }
   FAIL() << "queue never drained after client disconnect";
+}
+
+TEST(SolveServer, ResultLineWritesNonFiniteNumbersAsNull) {
+  JobResult r;
+  r.id = "nan";
+  r.ok = true;
+  r.report.relative_residual = std::numeric_limits<double>::quiet_NaN();
+  r.report.solve_seconds = std::numeric_limits<double>::infinity();
+  // JSON has no NaN/Inf: the line must still parse, with null values.
+  const JsonValue doc = parse_json(result_line(r, 7, 0.0));
+  EXPECT_EQ(doc.find("status")->as_string(), "ok");
+  EXPECT_EQ(doc.find("request_id")->as_number(), 7.0);
+  EXPECT_TRUE(doc.find("relative_residual")->is_null());
+  EXPECT_TRUE(doc.find("solve_seconds")->is_null());
+  EXPECT_TRUE(doc.find("timings")->find("solve_ms")->is_null());
+}
+
+TEST(SolveServer, IdleTimerRestartsWhenASlowResultIsDelivered) {
+  const std::string path = test_socket_path();
+  ServerOptions opt = base_options(path);
+  opt.idle_timeout_ms = 250;
+  TestServer server(opt);
+  Client c(path);
+  ASSERT_TRUE(c.connected());
+
+  // A solve that outlasts the idle limit, then a pause shorter than the
+  // limit: idleness counts from the delivered reply, not from the read
+  // request, so the session must survive the pause.
+  c.send_line(
+      R"({"type":"solve","id":"slow","graph":"grid2d:96,96","eps":1e-10})");
+  const std::string r = c.read_line(300000);
+  ASSERT_TRUE(has_field(r, "\"status\":\"ok\"")) << r;
+  const double wall_ms = parse_json(r).find("wall_seconds")->as_number() * 1e3;
+  if (wall_ms <= opt.idle_timeout_ms) {
+    GTEST_SKIP() << "solve took " << wall_ms << " ms, inside the "
+                 << opt.idle_timeout_ms << " ms idle limit";
+  }
+  ::usleep(100 * 1000);
+  c.send_line(R"({"type":"ping"})");
+  EXPECT_TRUE(has_field(c.read_line(), "\"type\":\"pong\""))
+      << "session reaped although it was idle for less than the limit";
 }
 
 }  // namespace

@@ -44,6 +44,7 @@
 #include "obs/trace.hpp"
 #include "service/job_file.hpp"
 #include "service/solve_engine.hpp"
+#include "support/json.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -178,7 +179,7 @@ std::string describe_input(const InputOptions& in) {
   return in.input_path.empty() ? "gen:" + in.gen_spec : in.input_path;
 }
 
-void write_json_metadata(bench::JsonWriter& w) {
+void write_json_metadata(JsonWriter& w) {
   const bench::RunMetadata md = bench::collect_metadata();
   w.key("metadata");
   w.begin_object();
@@ -273,7 +274,7 @@ struct ObsOptions {
 void print_build_stats(const std::string& method, const BuildStats& bs) {
   TextTable table("build: method " + method + ", " +
                   std::to_string(bs.levels) + " level(s), arena " +
-                  bench::JsonWriter::format_number(
+                  JsonWriter::format_number(
                       static_cast<double>(bs.peak_arena_bytes) / (1 << 20)) +
                   " MiB, " + std::to_string(bs.arena_allocations) +
                   " arena realloc(s)");
@@ -302,7 +303,7 @@ void print_build_stats(const std::string& method, const BuildStats& bs) {
             << " s total\n";
 }
 
-void write_build_stats_json(bench::JsonWriter& w, const BuildStats& bs) {
+void write_build_stats_json(JsonWriter& w, const BuildStats& bs) {
   w.key("build");
   w.begin_object();
   w.member("total_seconds", bs.total_seconds);
@@ -493,7 +494,7 @@ int cmd_solve(Args& args) {
   const Precision precision_used =
       reports.empty() ? *precision_mode : reports.front().precision;
   TextTable table("solve: method " + method + ", eps " +
-                  bench::JsonWriter::format_number(eps) + ", precision " +
+                  JsonWriter::format_number(eps) + ", precision " +
                   precision_name(precision_used));
   table.set_header({"rhs", "iterations", "solve_s", "residual", "converged"},
                    6);
@@ -520,7 +521,7 @@ int cmd_solve(Args& args) {
 
   if (!json_path.empty()) {
     std::ofstream os = open_output(json_path);
-    bench::JsonWriter w(os);
+    JsonWriter w(os);
     w.begin_object();
     w.member("schema", "parlap-cli-solve-v1");
     write_json_metadata(w);
@@ -652,7 +653,7 @@ int cmd_batch(Args& args) {
 
   if (!json_path.empty()) {
     std::ofstream os = open_output(json_path);
-    bench::JsonWriter w(os);
+    JsonWriter w(os);
     w.begin_object();
     w.member("schema", "parlap-cli-batch-v3");
     write_json_metadata(w);
@@ -866,7 +867,7 @@ int cmd_info(Args& args) {
 
   if (!json_path.empty()) {
     std::ofstream os = open_output(json_path);
-    bench::JsonWriter w(os);
+    JsonWriter w(os);
     w.begin_object();
     w.member("schema", "parlap-cli-info-v1");
     write_json_metadata(w);

@@ -31,7 +31,7 @@
 #include <thread>
 #include <vector>
 
-#include "service/json.hpp"
+#include "support/json.hpp"
 
 namespace {
 
@@ -158,26 +158,26 @@ std::string fetch_stats(const TopOptions& opt) {
   return line;
 }
 
-double num(const service::JsonValue* v, double fallback = 0.0) {
+double num(const JsonValue* v, double fallback = 0.0) {
   return v != nullptr && v->is_number() ? v->as_number() : fallback;
 }
 
-const service::JsonValue* child(const service::JsonValue* obj,
+const JsonValue* child(const JsonValue* obj,
                                 const char* key) {
   return obj != nullptr && obj->is_object() ? obj->find(key) : nullptr;
 }
 
 void render(const std::string& line, const TopOptions& opt) {
-  const service::JsonValue doc = service::parse_json(line);
+  const JsonValue doc = parse_json(line);
   if (!doc.is_object()) throw std::runtime_error("stats is not an object");
 
-  const service::JsonValue* config = doc.find("config");
-  const service::JsonValue* window = doc.find("window");
-  const service::JsonValue* counters = doc.find("counters");
-  const service::JsonValue* cache = doc.find("cache");
-  const service::JsonValue* life_solve = doc.find("solve_seconds");
-  const service::JsonValue* win_solve = child(window, "solve_seconds");
-  const service::JsonValue* win_queue = child(window, "queue_wait_seconds");
+  const JsonValue* config = doc.find("config");
+  const JsonValue* window = doc.find("window");
+  const JsonValue* counters = doc.find("counters");
+  const JsonValue* cache = doc.find("cache");
+  const JsonValue* life_solve = doc.find("solve_seconds");
+  const JsonValue* win_solve = child(window, "solve_seconds");
+  const JsonValue* win_queue = child(window, "queue_wait_seconds");
 
   const double uptime = num(doc.find("uptime_seconds"));
   const double wcompleted = num(child(window, "completed"));
@@ -192,14 +192,14 @@ void render(const std::string& line, const TopOptions& opt) {
   char when[32];
   const std::time_t now = std::time(nullptr);
   std::strftime(when, sizeof when, "%H:%M:%S", std::localtime(&now));
-  const service::JsonValue* draining = doc.find("draining");
+  const JsonValue* draining = doc.find("draining");
   const bool is_draining =
       draining != nullptr && draining->is_bool() && draining->as_bool();
   std::printf("parlap_top  %s  up %.0fs%s\n", when, uptime,
               is_draining ? "  DRAINING" : "");
-  const service::JsonValue* simd_active = child(config, "simd_active");
-  const service::JsonValue* numa_policy = child(config, "numa");
-  const service::JsonValue* precision = child(config, "precision");
+  const JsonValue* simd_active = child(config, "simd_active");
+  const JsonValue* numa_policy = child(config, "numa");
+  const JsonValue* precision = child(config, "precision");
   std::printf(
       "workers %d   simd %s   prec %s   numa %s   queue %.0f/%.0f "
       "(%.0f bytes)   in-flight %.0f   sessions %.0f\n",
@@ -227,7 +227,7 @@ void render(const std::string& line, const TopOptions& opt) {
               num(child(cache, "resident_count")));
   std::printf("\n%-14s %9s %9s %9s %9s %9s\n", "", "count", "mean_ms",
               "p50_ms", "p95_ms", "p99_ms");
-  const auto row = [](const char* label, const service::JsonValue* digest) {
+  const auto row = [](const char* label, const JsonValue* digest) {
     std::printf("%-14s %9.0f %9.3f %9.3f %9.3f %9.3f\n", label,
                 num(child(digest, "count")),
                 num(child(digest, "mean")) * 1e3,

@@ -30,9 +30,6 @@ struct RichardsonOptions {
   double delta = 1.0;
   /// Iteration cap; 0 = the paper's ceil(e^{2 delta} ln(1/eps)).
   int max_iterations = 0;
-  /// Early exit when ||b - Ax|| / ||b|| <= residual_target; negative =
-  /// use eps (the caller's accuracy goal) as the target.
-  double residual_target = -1.0;
   /// Estimate lambda_max(B A) by a short power iteration and use
   /// alpha = 0.95 / lambda_max instead of the paper's 2/(e^-d + e^d).
   /// This never diverges, whatever the actual preconditioner quality;
@@ -43,8 +40,8 @@ struct RichardsonOptions {
   /// > 0: use exactly this step size (callers that cache the power
   /// iteration across solves of one factorization, e.g. LaplacianSolver).
   double fixed_alpha = 0.0;
-  /// > 0 enables stall detection: every stall_window iterations, a run
-  /// (or panel column) whose residual has not shrunk to at least
+  /// > 0 enables stall detection: every stall_window iterations, a
+  /// column whose residual has not shrunk to at least
   /// stall_improvement x its value at the previous checkpoint stops with
   /// reached_target = false, and a non-finite residual stops
   /// immediately. 0 (default) = disabled — iteration behavior is exactly
@@ -68,21 +65,15 @@ struct IterationStats {
   bool reached_target = false;
 };
 
-/// Solves A x = b to eps using preconditioner `precond` (= B above).
-/// `x` is the output (overwritten).
-IterationStats preconditioned_richardson(const LaplacianOperator& a,
-                                         const LinearMap& precond,
-                                         std::span<const double> b,
-                                         std::span<double> x, double eps,
-                                         const RichardsonOptions& opts = {});
-
-/// Blocked Richardson: solves A x.col(c) = b.col(c) for every column of
-/// the panel, sharing each A-apply and preconditioner apply across all
-/// still-running columns. A column that reaches its target is frozen (its
-/// x never changes again), so column c's iterate history — and therefore
-/// its returned stats and solution bits — is identical to the scalar
-/// preconditioned_richardson on b.col(c), at any block width and thread
-/// count. x is resized to b's shape and overwritten.
+/// Solves A x.col(c) = b.col(c) to eps for every column of the panel,
+/// using preconditioner `precond` (= B above); a single right-hand side
+/// is a 1-column panel. Each A-apply and preconditioner apply is shared
+/// across all still-running columns. A column exits early once
+/// ||b - Ax|| / ||b|| <= eps and is then frozen (its x never changes
+/// again), so column c's iterate history — and therefore its returned
+/// stats and solution bits — is identical to a 1-column solve of
+/// b.col(c), at any block width and thread count. A zero column gets
+/// x = 0. x is resized to b's shape and overwritten.
 std::vector<IterationStats> preconditioned_richardson(
     const LaplacianOperator& a, const PanelMap& precond, const Panel& b,
     Panel& x, double eps, const RichardsonOptions& opts = {});

@@ -283,8 +283,8 @@ std::vector<SolveStats> LaplacianSolver::solve_panel_impl(
     xl.resize(cs.vertices.size(), k);
 
     // Columns still escalating; everyone starts at round 0. A column's
-    // round sequence (and so its bits) is exactly what a scalar solve of
-    // that column would run — escalation only compacts the stalled
+    // round sequence (and so its bits) is exactly what a one-column solve
+    // of it would run — escalation only compacts the stalled
     // columns into a narrower panel.
     std::vector<std::size_t> active(k);
     for (std::size_t col = 0; col < k; ++col) active[col] = col;

@@ -148,8 +148,8 @@ class LaplacianSolver {
                                      std::span<Vector> xs, double eps) const;
 
   /// Solves all columns of `b` as one panel (x.col(c) receives the
-  /// solution of b.col(c), bit-identical to a scalar solve of that
-  /// column). The blocked primitive under solve_many(); exposed for
+  /// solution of b.col(c), bit-identical to a one-column solve of
+  /// it). The blocked primitive under solve_many(); exposed for
   /// callers that already hold panel data (SolveEngine). Thread-safe.
   std::vector<SolveStats> solve_panel(const Panel& b, Panel& x,
                                       double eps) const;

@@ -4,27 +4,27 @@
 // a batch of SolveJobs (job_file.hpp) runs on a pool of worker threads
 // that share one FactorizationCache, so repeated graphs factor once and
 // then serve many solves concurrently through the const, thread-safe
-// AnySolver::solve surface.
+// AnySolver::solve_panel surface.
 //
-// Panel grouping (EngineOptions::block_width > 1): jobs that share a
-// factorization (graph content, method, config, eps) are grouped — in
-// input order, before any worker runs — into panels of up to
-// block_width right-hand sides, and each panel is one
-// AnySolver::solve_panel call, so the paper's solver traverses its chain
-// once per preconditioner application for the whole panel. Per-job
-// results are bit-identical at every block width (the solve_panel
-// contract); a panel's jobs share one cache lookup, so hit/miss
-// counters count panels.
+// Panels: every solve is one AnySolver::solve_panel call. At
+// EngineOptions::block_width 1 each job is a one-column panel; above
+// it, jobs that share a factorization (graph content, method, config,
+// eps) are grouped — in input order, before any worker runs — into
+// panels of up to block_width right-hand sides, so the paper's solver
+// traverses its chain once per preconditioner application for the whole
+// panel. Per-job results are bit-identical at every block width (the
+// solve_panel contract); a panel's jobs share one cache lookup, so
+// hit/miss counters count panels.
 //
 // Determinism contract: every job's result — solution bits, residual,
 // iteration count — is a pure function of the job itself (its id, seed,
 // graph, method, knobs). It does not depend on the worker count, on
 // which worker picks the job up, or on completion order. This holds
 // because (a) factorizations are pure functions of (graph content,
-// method, config), (b) AnySolver::solve is deterministic across thread
-// counts, and (c) each job's right-hand side comes from a Philox stream
-// keyed by (seed, job id) rather than any shared counter. Tests compare
-// --workers 1 against --workers N for bit-identical results.
+// method, config), (b) AnySolver::solve_panel is deterministic across
+// thread counts, and (c) each job's right-hand side comes from a Philox
+// stream keyed by (seed, job id) rather than any shared counter. Tests
+// compare --workers 1 against --workers N for bit-identical results.
 //
 // Oversubscription: with workers > 1 each worker pins its OpenMP thread
 // count to 1 and enters a SerialScope, so a machine runs `workers`
@@ -84,8 +84,8 @@ struct EngineOptions {
   /// method, config knobs, and eps) are grouped, in input order, into
   /// panels of at most this many right-hand sides, each panel solved
   /// with one AnySolver::solve_panel call. 1 (the default) solves every
-  /// job individually. Per-job solutions are bit-identical at every
-  /// width; cache hit/miss counters count panels, not jobs.
+  /// job as a one-column panel. Per-job solutions are bit-identical at
+  /// every width; cache hit/miss counters count panels, not jobs.
   int block_width = 1;
   /// SIMD dispatch level for the apply kernels: "scalar", "avx2",
   /// "avx512", or "auto" (CPUID). Empty = inherit the process default
@@ -172,9 +172,10 @@ class SolveEngine {
   /// the factorization cache persists across batches.
   [[nodiscard]] BatchResult run(std::span<const SolveJob> jobs);
 
-  /// Runs ONE job synchronously on the calling thread — the per-request
-  /// path of the parlap_serve daemon, whose own worker pool replaces the
-  /// batch pool above. Safe from any number of threads concurrently:
+  /// Runs ONE job synchronously on the calling thread, as a one-member
+  /// panel task — the per-request path of the parlap_serve daemon, whose
+  /// own worker pool replaces the batch pool above. Safe from any number
+  /// of threads concurrently:
   /// graph loads and factorizations share the engine's caches (with
   /// single-flight builds), and the result is the same pure function of
   /// the job as in a batch run, so serve and batch traffic for the same
@@ -207,12 +208,10 @@ class SolveEngine {
   /// engine default), before per-graph kAuto resolution.
   [[nodiscard]] Precision job_precision(const SolveJob& job) const;
 
-  [[nodiscard]] JobResult run_job(const SolveJob& job);
-
-  /// Runs one multi-job panel: shared graph + factorization lookup, one
-  /// solve_panel call for the rhs-compatible jobs, per-job failure
-  /// isolation for the rest. Writes results[i] for every i in `members`
-  /// and returns the panel telemetry.
+  /// Runs one panel of one or more jobs: shared graph + factorization
+  /// lookup, one solve_panel call for the rhs-compatible jobs, per-job
+  /// failure isolation for the rest. Writes results[i] for every i in
+  /// `members` and returns the panel telemetry.
   [[nodiscard]] PanelStats run_panel_task(std::span<const SolveJob> jobs,
                                           std::span<const std::size_t> members,
                                           std::span<JobResult> results);

@@ -2,7 +2,11 @@
 // (preconditioned Richardson), verified densely.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "core/richardson.hpp"
 #include "graph/generators.hpp"
@@ -93,6 +97,33 @@ TEST(JacobiLemma, LongerSeriesTighter) {
 }
 
 // ---------------------------------------------------------------------
+// Richardson runs on panels; a single right-hand side is a 1-column panel.
+
+Panel column_panel(std::span<const double> v) {
+  Panel p(v.size(), 1);
+  std::copy(v.begin(), v.end(), p.col(0).begin());
+  return p;
+}
+
+/// The panel form of a per-vector map, applied column by column.
+PanelMap by_columns(LinearMap m) {
+  return [m = std::move(m)](const Panel& r, Panel& y) {
+    y.resize(r.rows(), r.cols());
+    for (std::size_t c = 0; c < r.cols(); ++c) m(r.col(c), y.col(c));
+  };
+}
+
+/// Solves the 1-column system A x = b and returns its stats.
+IterationStats solve_column(const LaplacianOperator& a,
+                            const LinearMap& precond,
+                            std::span<const double> b, Panel& x, double eps,
+                            const RichardsonOptions& opts = {}) {
+  const std::vector<IterationStats> stats = preconditioned_richardson(
+      a, by_columns(precond), column_panel(b), x, eps, opts);
+  EXPECT_EQ(stats.size(), 1u);
+  EXPECT_EQ(x.cols(), 1u);
+  return stats.front();
+}
 
 TEST(Richardson, ExactPreconditionerOneShot) {
   const Multigraph g = make_grid2d(6, 6);
@@ -107,12 +138,11 @@ TEST(Richardson, ExactPreconditionerOneShot) {
   Rng rng(1, RngTag::kTest, 0);
   for (auto& v : b) v = rng.next_in(-1.0, 1.0);
   project_out_ones(b);
-  Vector x(36, 0.0);
+  Panel x;
   RichardsonOptions opts;
   opts.delta = 1e-6;
   opts.auto_step = false;  // test the paper's alpha = 2/(e^-d + e^d)
-  const IterationStats st =
-      preconditioned_richardson(op, precond, b, x, 1e-10, opts);
+  const IterationStats st = solve_column(op, precond, b, x, 1e-10, opts);
   EXPECT_TRUE(st.reached_target);
   EXPECT_LE(st.iterations, 2);
 }
@@ -139,16 +169,15 @@ TEST(Richardson, AutoStepSurvivesMiscalibratedPreconditioner) {
   fixed.auto_step = false;
   fixed.delta = 1.0;  // wrong: actual delta is 2
   fixed.max_iterations = 60;
-  Vector x1(40, 0.0);
-  const IterationStats diverged =
-      preconditioned_richardson(op, precond, b, x1, 1e-8, fixed);
+  Panel x1;
+  const IterationStats diverged = solve_column(op, precond, b, x1, 1e-8, fixed);
   EXPECT_FALSE(diverged.reached_target);
 
   RichardsonOptions autod;
   autod.max_iterations = 60;
-  Vector x2(40, 0.0);
+  Panel x2;
   const IterationStats converged =
-      preconditioned_richardson(op, precond, b, x2, 1e-8, autod);
+      solve_column(op, precond, b, x2, 1e-8, autod);
   EXPECT_TRUE(converged.reached_target);
 }
 
@@ -168,13 +197,12 @@ TEST(Richardson, ScaledPreconditionerConvergesAtTheoryRate) {
   Rng rng(2, RngTag::kTest, 0);
   for (auto& v : b) v = rng.next_in(-1.0, 1.0);
   project_out_ones(b);
-  Vector x(40, 0.0);
+  Panel x;
   RichardsonOptions opts;
   opts.delta = 0.8;
   opts.auto_step = false;  // measure the paper's fixed-alpha rate
-  opts.residual_target = 1e-10;
   const double eps = 1e-10;
-  const IterationStats st = preconditioned_richardson(op, precond, b, x, eps, opts);
+  const IterationStats st = solve_column(op, precond, b, x, eps, opts);
   EXPECT_TRUE(st.reached_target);
   EXPECT_LE(st.iterations, static_cast<int>(std::ceil(
                                std::exp(1.6) * std::log(1.0 / eps))) +
@@ -189,11 +217,10 @@ TEST(Richardson, ZeroRhsReturnsZero) {
     std::copy(r.begin(), r.end(), y.begin());
   };
   const Vector b(10, 0.0);
-  Vector x(10, 5.0);
-  const IterationStats st =
-      preconditioned_richardson(op, identity_map, b, x, 0.5);
+  Panel x = column_panel(Vector(10, 5.0));
+  const IterationStats st = solve_column(op, identity_map, b, x, 0.5);
   EXPECT_TRUE(st.reached_target);
-  for (const double v : x) EXPECT_EQ(v, 0.0);
+  for (const double v : x.col(0)) EXPECT_EQ(v, 0.0);
 }
 
 TEST(Richardson, IterationCapRespected) {
@@ -207,11 +234,10 @@ TEST(Richardson, IterationCapRespected) {
   Rng rng(3, RngTag::kTest, 0);
   for (auto& v : b) v = rng.next_in(-1.0, 1.0);
   project_out_ones(b);
-  Vector x(200, 0.0);
+  Panel x;
   RichardsonOptions opts;
   opts.max_iterations = 7;
-  const IterationStats st =
-      preconditioned_richardson(op, identity_map, b, x, 1e-12, opts);
+  const IterationStats st = solve_column(op, identity_map, b, x, 1e-12, opts);
   EXPECT_FALSE(st.reached_target);
   EXPECT_EQ(st.iterations, 7);
 }
@@ -222,10 +248,11 @@ TEST(Richardson, InvalidEpsThrows) {
   const LinearMap id_map = [](std::span<const double> r, std::span<double> y) {
     std::copy(r.begin(), r.end(), y.begin());
   };
-  const Vector b(4, 0.0);
-  Vector x(4);
-  EXPECT_THROW((void)preconditioned_richardson(op, id_map, b, x, 1.5),
-               std::runtime_error);
+  const Panel b(4, 1);
+  Panel x;
+  EXPECT_THROW(
+      (void)preconditioned_richardson(op, by_columns(id_map), b, x, 1.5),
+      std::runtime_error);
 }
 
 }  // namespace

@@ -156,8 +156,8 @@ TEST(PanelSolve, SolveManyBitIdenticalToSequentialAcrossWidthsAndThreads) {
 TEST(PanelSolve, AnySolverPanelReportsMatchScalarPerRhs) {
   // The api layer: solve_panel returns per-RHS reports whose solutions,
   // iteration counts, and residuals (measured against the input
-  // operator, never a panel max) equal a loop of solve() — for the
-  // blocked paper solver and for a loop-fallback baseline alike.
+  // operator, never a panel max) equal a loop of one-column solve()
+  // calls — for every registered method, blocked or column-by-column.
   const Multigraph g = make_watts_strogatz(120, 4, 0.1, 3);
   const std::size_t n = g.num_vertices();
   const std::size_t jobs = 5;
@@ -165,7 +165,11 @@ TEST(PanelSolve, AnySolverPanelReportsMatchScalarPerRhs) {
   for (std::size_t j = 0; j < jobs; ++j) {
     bs.push_back(random_rhs_vec(n, 900 + j));
   }
-  for (const char* method : {"parlap", "cg"}) {
+  const std::vector<SolverMethodInfo> methods =
+      SolverRegistry::instance().methods();
+  ASSERT_EQ(methods.size(), 7u);  // parlap, parlap-lev, cg*, ks16, dense
+  for (const SolverMethodInfo& info : methods) {
+    const char* method = info.name.c_str();
     SolverConfig config;
     config.seed = 21;
     const auto solver = SolverRegistry::instance().create(method, g, config);
@@ -174,6 +178,7 @@ TEST(PanelSolve, AnySolverPanelReportsMatchScalarPerRhs) {
     std::vector<RunReport> want_reports;
     for (std::size_t j = 0; j < jobs; ++j) {
       want_reports.push_back(solver->solve(bs[j], want[j], 1e-8));
+      EXPECT_EQ(want_reports.back().panel_width, 1) << method;
     }
 
     std::vector<Vector> xs(jobs);

@@ -196,6 +196,35 @@ TEST(SolveEngine, BlockedBatchIsBitIdenticalAndGroupsPanels) {
   }
 }
 
+TEST(SolveEngine, WidthOneSolvesReportApplyTime) {
+  // A width-1 solve is a one-column panel, so the paper's solver reports
+  // its measured preconditioner-apply time there too — in a batch at
+  // block width 1 (job and panel alike) and through run_one.
+  const std::vector<SolveJob> jobs = mixed_jobs();
+  SolveEngine engine({.workers = 1});
+  const BatchResult batch = engine.run(jobs);
+  ASSERT_EQ(batch.panels.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    ASSERT_TRUE(batch.jobs[i].ok) << jobs[i].id;
+    EXPECT_EQ(batch.panels[i].job_ids,
+              std::vector<std::string>{jobs[i].id});  // input order
+    if (jobs[i].method != "parlap") continue;
+    const RunReport& r = batch.jobs[i].report;
+    EXPECT_GT(r.apply_seconds, 0.0) << jobs[i].id;
+    EXPECT_LE(r.apply_seconds, r.solve_seconds) << jobs[i].id;
+    const PanelStats& p = batch.panels[i];
+    EXPECT_GT(p.apply_seconds, 0.0) << jobs[i].id;
+    EXPECT_LE(p.apply_seconds, p.solve_seconds) << jobs[i].id;
+  }
+
+  const JobResult one = engine.run_one(jobs.front());
+  ASSERT_TRUE(one.ok) << one.error;
+  EXPECT_EQ(one.report.panel_width, 1);
+  EXPECT_GT(one.report.apply_seconds, 0.0);
+  EXPECT_LE(one.report.apply_seconds, one.report.solve_seconds);
+  EXPECT_EQ(one.solution_hash, batch.jobs.front().solution_hash);
+}
+
 TEST(SolveEngine, BlockedBatchIsolatesBadJobsInsideAPanel) {
   // A panel member with an unsolvable rhs fails alone; its panel-mates
   // still solve (and match their scalar solutions).

@@ -32,6 +32,10 @@ Notes:
   * Trees whose meta.precision disagree for an experiment are never
     compared (exit 2): fp32 and fp64 runs are different workloads.
     Files without the field (pre-precision runs) count as fp64.
+  * Trees whose meta.threads disagree for an experiment are never
+    compared either (exit 2): a 4-thread run against a 1-thread
+    baseline measures the thread count, not the change. Run with
+    OMP_NUM_THREADS set to the baseline's thread count.
   * CI runs this with a deliberately loose threshold: shared runners
     have noisy clocks, so the committed baseline gates catastrophic
     slowdowns and pipeline breakage, not single-digit percent drift.
@@ -122,6 +126,7 @@ def main() -> int:
     new_files = sorted(set(cur_tree) - set(base_tree))
     new_cases = []
     precision_mismatches = []
+    thread_mismatches = []
     compared = 0
     rows = []
     for exp, base_doc in sorted(base_tree.items()):
@@ -136,6 +141,13 @@ def main() -> int:
         cur_prec = (cur_tree[exp].get("meta") or {}).get("precision", "fp64")
         if base_prec != cur_prec:
             precision_mismatches.append((exp, base_prec, cur_prec))
+            continue
+        # Likewise never compare different thread counts: the timings
+        # would measure the parallel speedup, not the change.
+        base_threads = (base_doc.get("meta") or {}).get("threads")
+        cur_threads = (cur_tree[exp].get("meta") or {}).get("threads")
+        if base_threads != cur_threads:
+            thread_mismatches.append((exp, base_threads, cur_threads))
             continue
         base_cases = case_medians(base_doc)
         cur_cases = case_medians(cur_tree[exp])
@@ -205,6 +217,14 @@ def main() -> int:
         print("hint: run both trees with the same --precision "
               "(scripts/run_benches.sh) and keep per-mode baselines apart",
               file=sys.stderr)
+        return 2
+    if thread_mismatches:
+        named = ", ".join(f"{e} ({b} vs {c} threads)"
+                          for e, b, c in thread_mismatches)
+        print(f"error: thread-count mismatch — refusing to compare: {named}",
+              file=sys.stderr)
+        print("hint: run the current tree with OMP_NUM_THREADS equal to "
+              "the baseline's meta.threads", file=sys.stderr)
         return 2
     if regressions:
         print(f"error: {len(regressions)} regression(s) beyond threshold",

@@ -5,7 +5,8 @@
 // Construction (BlockCholeskyChain::build) stages each elimination level
 // in arena-recycled EliminationLevel scratch, then finalize() packs every
 // level's F/C lists, Jacobi diagonals (1/X_ff, diag Y), and the three
-// sub-CSR blocks (F-F for Y, F->C, C->F) into six contiguous arrays.
+// summed sub-CSR blocks (F-F for Y, F->C, C->F; one entry per row and
+// column, split multi-edges merged) into six contiguous arrays.
 // Row offsets are rebased to absolute positions in the shared column /
 // weight arrays, so applying the chain is one monotone sweep over three
 // flat buffers — no per-level pointer chasing, no per-level allocations,
@@ -60,6 +61,8 @@ struct EliminationLevel {
     std::vector<Vertex> nbr;  ///< column indices (target space)
     std::vector<Weight> w;
   };
+  // Each block stores one summed entry per (row, column): parallel split
+  // multi-edges are merged at extraction (block_cholesky.cpp).
   SubCsr ff;  ///< F-row -> F-col (Y off-diagonal entries, both directions)
   SubCsr fc;  ///< F-row -> C-col (L_FC)
   SubCsr cf;  ///< C-row -> F-col (L_CF)

@@ -24,33 +24,93 @@ std::uint64_t level_seed(std::uint64_t seed, int level) {
   return splitmix64(seed ^ splitmix64(0x4C45564Cull + static_cast<std::uint64_t>(level)));
 }
 
+/// Walk-graph entries below which a level's row loops run serially: rows
+/// carry whole split neighborhoods, so the grain counts entries, not rows.
+constexpr EdgeId kExtractGrainEntries = 16384;
+
+/// Runs `row(i, stamp, slot)` for every F row i, handing each thread its
+/// own n-long window of the arena's merge scratch. The team is sized
+/// here (not by parallel_for) so a window index is always a thread id of
+/// the team that uses it.
+template <typename RowFn>
+void for_each_f_row(const WalkGraph& wg, const EliminationLevel& lvl,
+                    ChainBuildArena& arena, RowFn&& row) {
+  const auto nz = static_cast<std::size_t>(lvl.n);
+  const int teams =
+      (wg.volume() >= kExtractGrainEntries && parallelism_allowed())
+          ? thread_count()
+          : 1;
+  arena.merge_stamp.resize(static_cast<std::size_t>(teams) * nz);
+  arena.merge_slot.resize(static_cast<std::size_t>(teams) * nz);
+  if (teams == 1) {
+    for (Vertex i = 0; i < lvl.nf; ++i) {
+      row(i, arena.merge_stamp.data(), arena.merge_slot.data());
+    }
+    return;
+  }
+#pragma omp parallel num_threads(teams)
+  {
+    const auto window =
+        static_cast<std::size_t>(omp_get_thread_num()) * nz;
+    std::uint64_t* stamp = arena.merge_stamp.data() + window;
+    EdgeId* slot = arena.merge_slot.data() + window;
+#pragma omp for schedule(static)
+    for (Vertex i = 0; i < lvl.nf; ++i) row(i, stamp, slot);
+  }
+}
+
 /// Builds one level's staging storage from the F-row adjacency. The walk
 /// graph rows list every edge incident to F, so Y (= F-F), L_FC and L_CF
 /// all derive from it without touching C-C edges. `lvl` is arena-owned
 /// staging (f_list/c_list/n/nf/nc already set by the caller); its buffers
-/// are recycled across levels and builds, and transient counting-sort
-/// scratch comes from the arena.
+/// are recycled across levels and builds, and transient scratch comes
+/// from the arena.
+///
+/// The walk graph keeps every split multi-edge (the sampling argument
+/// needs them), but ApplyCholesky only reads the summed blocks, so each
+/// (row, column) pair is stored once: parallel copies are merged by a
+/// scatter-accumulate over graph-local ids. Columns keep their first
+/// occurrence order and weights are summed in walk-row order, so the
+/// packed arrays do not depend on the thread count. A row's scatter
+/// stamp is `epoch + i + 1` with the arena's epoch advanced past every
+/// stamp a pass writes, so the windows never need clearing.
 void extract_level(const WalkGraph& wg, std::span<const double> wdeg,
                    std::span<const Vertex> f_index,
                    std::span<const Vertex> c_index, ChainBuildArena& arena,
                    EliminationLevel& lvl) {
   lvl.inv_x.resize(static_cast<std::size_t>(lvl.nf));
   lvl.y_diag.resize(static_cast<std::size_t>(lvl.nf));
+  const auto row_range = [&wg](Vertex i) {
+    return std::pair{
+        static_cast<std::size_t>(wg.off[static_cast<std::size_t>(i)]),
+        static_cast<std::size_t>(wg.off[static_cast<std::size_t>(i) + 1])};
+  };
 
-  // Split each F row of the walk graph into F-F and F-C parts; counts are
-  // written straight into the level's offset arrays and scanned in place.
+  // Count each row's distinct F and C columns straight into the level's
+  // offset arrays, then scan in place.
   lvl.ff.off.assign(static_cast<std::size_t>(lvl.nf) + 1, 0);
   lvl.fc.off.assign(static_cast<std::size_t>(lvl.nf) + 1, 0);
-  parallel_for(Vertex{0}, lvl.nf, [&](Vertex i) {
-    const auto lo = static_cast<std::size_t>(wg.off[static_cast<std::size_t>(i)]);
-    const auto hi = static_cast<std::size_t>(wg.off[static_cast<std::size_t>(i) + 1]);
+  std::uint64_t epoch = arena.merge_epoch;
+  for_each_f_row(wg, lvl, arena, [&](Vertex i, std::uint64_t* stamp,
+                                     EdgeId* /*slot*/) {
+    const std::uint64_t s = epoch + static_cast<std::uint64_t>(i) + 1;
+    const auto [lo, hi] = row_range(i);
     EdgeId nff = 0;
+    EdgeId nfc = 0;
     for (std::size_t p = lo; p < hi; ++p) {
-      if (f_index[static_cast<std::size_t>(wg.nbr[p])] != kInvalidVertex) ++nff;
+      const auto t = static_cast<std::size_t>(wg.nbr[p]);
+      if (stamp[t] == s) continue;
+      stamp[t] = s;
+      if (f_index[t] != kInvalidVertex) {
+        ++nff;
+      } else {
+        ++nfc;
+      }
     }
     lvl.ff.off[static_cast<std::size_t>(i)] = nff;
-    lvl.fc.off[static_cast<std::size_t>(i)] = static_cast<EdgeId>(hi - lo) - nff;
+    lvl.fc.off[static_cast<std::size_t>(i)] = nfc;
   });
+  epoch += static_cast<std::uint64_t>(lvl.nf);
   const EdgeId ff_total = exclusive_scan(std::span<EdgeId>(lvl.ff.off));
   const EdgeId fc_total = exclusive_scan(std::span<EdgeId>(lvl.fc.off));
   lvl.ff.nbr.resize(static_cast<std::size_t>(ff_total));
@@ -58,27 +118,30 @@ void extract_level(const WalkGraph& wg, std::span<const double> wdeg,
   lvl.fc.nbr.resize(static_cast<std::size_t>(fc_total));
   lvl.fc.w.resize(static_cast<std::size_t>(fc_total));
 
-  parallel_for(Vertex{0}, lvl.nf, [&](Vertex i) {
-    const auto lo = static_cast<std::size_t>(wg.off[static_cast<std::size_t>(i)]);
-    const auto hi = static_cast<std::size_t>(wg.off[static_cast<std::size_t>(i) + 1]);
+  for_each_f_row(wg, lvl, arena, [&](Vertex i, std::uint64_t* stamp,
+                                     EdgeId* slot) {
+    const std::uint64_t s = epoch + static_cast<std::uint64_t>(i) + 1;
+    const auto [lo, hi] = row_range(i);
     EdgeId pf = lvl.ff.off[static_cast<std::size_t>(i)];
     EdgeId pc = lvl.fc.off[static_cast<std::size_t>(i)];
     double induced = 0.0;
     for (std::size_t p = lo; p < hi; ++p) {
-      const Vertex t = wg.nbr[p];
+      const auto t = static_cast<std::size_t>(wg.nbr[p]);
       const Weight w = wg.w[p];
-      const Vertex ft = f_index[static_cast<std::size_t>(t)];
-      if (ft != kInvalidVertex) {
-        lvl.ff.nbr[static_cast<std::size_t>(pf)] = ft;
-        lvl.ff.w[static_cast<std::size_t>(pf)] = w;
-        ++pf;
-        induced += w;
-      } else {
-        lvl.fc.nbr[static_cast<std::size_t>(pc)] =
-            c_index[static_cast<std::size_t>(t)];
-        lvl.fc.w[static_cast<std::size_t>(pc)] = w;
-        ++pc;
+      const Vertex ft = f_index[t];
+      const bool is_f = ft != kInvalidVertex;
+      if (is_f) induced += w;
+      EliminationLevel::SubCsr& blk = is_f ? lvl.ff : lvl.fc;
+      if (stamp[t] == s) {
+        blk.w[static_cast<std::size_t>(slot[t])] += w;
+        continue;
       }
+      stamp[t] = s;
+      EdgeId& pos = is_f ? pf : pc;
+      slot[t] = pos;
+      blk.nbr[static_cast<std::size_t>(pos)] = is_f ? ft : c_index[t];
+      blk.w[static_cast<std::size_t>(pos)] = w;
+      ++pos;
     }
     const Vertex v = lvl.f_list[static_cast<std::size_t>(i)];
     const double x = wdeg[static_cast<std::size_t>(v)] - induced;
@@ -87,6 +150,7 @@ void extract_level(const WalkGraph& wg, std::span<const double> wdeg,
     // vertices get the pseudo-inverse convention 1/0 -> 0.
     lvl.inv_x[static_cast<std::size_t>(i)] = x > 0.0 ? 1.0 / x : 0.0;
   });
+  arena.merge_epoch = epoch + static_cast<std::uint64_t>(lvl.nf);
 
   // L_CF = transpose of fc: stable chunked counting sort by C column.
   const auto ncz = static_cast<std::size_t>(lvl.nc);
@@ -297,8 +361,14 @@ BlockCholeskyChain BlockCholeskyChain::build_impl(
 
     phase.reset();
     {
-      PARLAP_TRACE_SPAN("build.extract", "build");
+      PARLAP_TRACE_SPAN_N(sp_extract, "build.extract", "build");
       extract_level(arena.walk_graph, wdeg, f_index, c_index, arena, stage);
+      ls.walk_entries = arena.walk_graph.volume();
+      sp_extract.arg("entries_in", static_cast<double>(ls.walk_entries));
+      sp_extract.arg("entries_out",
+                     static_cast<double>(stage.ff.nbr.size() +
+                                         stage.fc.nbr.size() +
+                                         stage.cf.nbr.size()));
     }
     lt.phases.extract = phase.seconds();
 

@@ -16,10 +16,13 @@
 // Memory: only edges incident to the eliminated sets are retained (three
 // sub-CSR blocks per level: F-F for Y, F->C and C->F for the off-diagonal
 // blocks), totalling O(sum_k vol(F_k)) = O(m log n) in expectation. The
-// blocks of every level are packed into one immutable ApplyChain
-// (core/apply_chain.hpp) at the end of build: six contiguous arrays with
-// absolute row offsets, so ApplyCholesky is a flat cache-dense sweep and
-// one traversal can serve a whole Panel of right-hand sides.
+// blocks store the summed L_FF, L_FC and L_CF, one entry per (row,
+// column): the split multi-edges matter only to sampling, which keeps
+// them, while ApplyCholesky reads the sums. The blocks of every level
+// are packed into one immutable ApplyChain (core/apply_chain.hpp) at the
+// end of build: six contiguous arrays with absolute row offsets, so
+// ApplyCholesky is a flat cache-dense sweep and one traversal can serve
+// a whole Panel of right-hand sides.
 //
 // Construction runs against a ChainBuildArena (build_arena.hpp): level
 // graphs live in the arena's double-buffered edge arrays (level 0 is read
@@ -72,6 +75,9 @@ struct LevelStats {
   EdgeId multi_edges = 0;
   Vertex f_size = 0;
   int five_dd_rounds = 0;
+  /// Walk-graph entries of the F rows: every split multi-edge incident
+  /// to F (F-F edges once per endpoint), before duplicates are merged.
+  EdgeId walk_entries = 0;
   WalkStats walks;
 };
 

@@ -78,6 +78,13 @@ class ChainBuildArena {
   FiveDdScratch five_dd;             ///< 5-DD sampling scratch
   std::vector<EdgeId> extract_hist;  ///< level-extraction transpose scratch
   std::vector<EdgeId> extract_base;
+  /// Level-extraction merge scratch: one n-long window per thread,
+  /// indexed by graph-local vertex. A slot is live only while its stamp
+  /// equals the current row's stamp; `merge_epoch` only grows, so stale
+  /// stamps from earlier rows, levels and builds never match.
+  std::vector<std::uint64_t> merge_stamp;
+  std::vector<EdgeId> merge_slot;
+  std::uint64_t merge_epoch = 0;
   /// Per-level staging the ApplyChain packer consumes: one recycled
   /// EliminationLevel per level built so far (grows to the deepest chain
   /// this arena has seen; inner buffers keep their high-water capacity).

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/alpha_bound.hpp"
 #include "core/block_cholesky.hpp"
@@ -183,6 +186,99 @@ TEST(BlockCholesky, StoredEntriesAreWellBelowNaiveChain) {
   const EdgeId naive =
       2 * split.num_edges() * static_cast<EdgeId>(chain.depth());
   EXPECT_LT(chain.stored_entries(), naive / 4);
+}
+
+/// The graphs the packed-layout checks run on, split the way
+/// LaplacianSolver splits them by default (split_scale 0.1).
+std::vector<std::pair<const char*, Multigraph>> layout_graphs() {
+  const auto split = [](const Multigraph& g) {
+    return split_edges_uniform(g,
+                               default_split_copies(g.num_vertices(), 0.1));
+  };
+  std::vector<std::pair<const char*, Multigraph>> out;
+  out.emplace_back("grid2d:64", split(make_grid2d(64, 64)));
+  out.emplace_back("rmat:10", split(make_rmat(10, EdgeId{8} << 10, 1)));
+  return out;
+}
+
+TEST(BlockCholesky, PackedBlocksStoreEachRowColumnPairOnce) {
+  // ApplyCholesky reads only the summed L_FF, L_FC and L_CF, so the
+  // packed chain stores one entry per (row, column) even though the
+  // split multigraph (and the walk graph built from it) keeps every copy.
+  for (const auto& [name, split] : layout_graphs()) {
+    SCOPED_TRACE(name);
+    const BlockCholeskyChain chain = BlockCholeskyChain::build(split, 29);
+    ASSERT_GE(chain.depth(), 2);
+    const ApplyChain& pc = chain.apply_chain();
+    const auto off = pc.offsets();
+    const auto cols = pc.columns();
+    const auto w = pc.weights();
+
+    std::vector<double> deg0(static_cast<std::size_t>(split.num_vertices()),
+                             0.0);
+    for (EdgeId e = 0; e < split.num_edges(); ++e) {
+      deg0[static_cast<std::size_t>(split.edge_u(e))] += split.edge_weight(e);
+      deg0[static_cast<std::size_t>(split.edge_v(e))] += split.edge_weight(e);
+    }
+
+    EdgeId walk_total = 0;
+    for (std::size_t k = 0; k < pc.levels().size(); ++k) {
+      SCOPED_TRACE("level " + std::to_string(k));
+      const ApplyChain::Level& lvl = pc.levels()[k];
+      walk_total += chain.level_stats()[k].walk_entries;
+      const auto nf = static_cast<std::size_t>(lvl.nf);
+      const auto nc = static_cast<std::size_t>(lvl.nc);
+      std::vector<std::size_t> seen_f(nf, nf);
+      std::vector<std::size_t> seen_c(nc, nf);
+      // cf_want[j]: the F-C entries of column j in F-row order, i.e. the
+      // exact transpose the packed C-F block must equal bit for bit.
+      std::vector<std::vector<std::pair<Vertex, Weight>>> cf_want(nc);
+      for (std::size_t i = 0; i < nf; ++i) {
+        double sum_ff = 0.0;
+        for (auto p = off[lvl.ff_off + i]; p < off[lvl.ff_off + i + 1]; ++p) {
+          const auto j =
+              static_cast<std::size_t>(cols[static_cast<std::size_t>(p)]);
+          ASSERT_LT(j, nf);
+          EXPECT_NE(seen_f[j], i) << "duplicate F-F column in row " << i;
+          seen_f[j] = i;
+          sum_ff += w[static_cast<std::size_t>(p)];
+        }
+        double sum_fc = 0.0;
+        for (auto p = off[lvl.fc_off + i]; p < off[lvl.fc_off + i + 1]; ++p) {
+          const auto j =
+              static_cast<std::size_t>(cols[static_cast<std::size_t>(p)]);
+          ASSERT_LT(j, nc);
+          EXPECT_NE(seen_c[j], i) << "duplicate F-C column in row " << i;
+          seen_c[j] = i;
+          sum_fc += w[static_cast<std::size_t>(p)];
+          cf_want[j].emplace_back(static_cast<Vertex>(i),
+                                  w[static_cast<std::size_t>(p)]);
+        }
+        const double y = pc.y_diag()[lvl.f_base + i];
+        const double inv_x = pc.inv_x()[lvl.f_base + i];
+        EXPECT_NEAR(sum_ff, y, 1e-12 * std::abs(y));
+        // The vertex's weighted degree is diag Y + X_ff.
+        ASSERT_GT(inv_x, 0.0);
+        const double deg = y + 1.0 / inv_x;
+        EXPECT_NEAR(sum_ff + sum_fc, deg, 1e-12 * deg);
+        if (k == 0) {
+          const double d0 = deg0[static_cast<std::size_t>(
+              pc.f_lists()[lvl.f_base + i])];
+          EXPECT_NEAR(sum_ff + sum_fc, d0, 1e-12 * d0);
+        }
+      }
+      for (std::size_t j = 0; j < nc; ++j) {
+        const auto lo = static_cast<std::size_t>(off[lvl.cf_off + j]);
+        const auto hi = static_cast<std::size_t>(off[lvl.cf_off + j + 1]);
+        ASSERT_EQ(hi - lo, cf_want[j].size()) << "C row " << j;
+        for (std::size_t q = 0; q < cf_want[j].size(); ++q) {
+          EXPECT_EQ(cols[lo + q], cf_want[j][q].first);
+          EXPECT_EQ(w[lo + q], cf_want[j][q].second);  // bitwise
+        }
+      }
+    }
+    EXPECT_LT(chain.stored_entries(), walk_total);
+  }
 }
 
 }  // namespace

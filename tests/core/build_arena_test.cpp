@@ -122,6 +122,34 @@ TEST(ChainBuildArena, EquivalentAcrossThreadCounts) {
   expect_same_chain(serial, parallel);
 }
 
+TEST(ChainBuildArena, MergedBlocksIdenticalAcrossThreadsAndArenas) {
+  // Level extraction merges split multi-edges through per-thread
+  // stamp/slot windows that are never cleared. Earlier builds through the
+  // same arena leave stale stamps in every window; the merged chain must
+  // still equal a fresh serial build bit for bit. The split is heavy
+  // enough (16384+ walk-graph entries) that level 0 extracts in parallel
+  // at 4 threads.
+  const Multigraph grid = split_edges_uniform(make_grid2d(64, 64), 32);
+  // The pooled arena first builds a smaller grid, whose stale stamps
+  // collide with the next build's if the stamp epoch ever restarts
+  // (checked: restarting it per build fails here).
+  const Multigraph smaller = split_edges_uniform(make_grid2d(32, 32), 8);
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+  ChainBuildArena fresh;
+  const BlockCholeskyChain serial =
+      BlockCholeskyChain::build(grid, 31, {}, fresh);
+  EXPECT_GE(serial.level_stats().front().walk_entries, EdgeId{16384});
+  omp_set_num_threads(std::min(4, saved));
+  {
+    const auto pooled = ChainBuildArena::pool().acquire();
+    (void)BlockCholeskyChain::build(smaller, 37, {}, *pooled);
+    expect_same_chain(serial,
+                      BlockCholeskyChain::build(grid, 31, {}, *pooled));
+  }
+  omp_set_num_threads(saved);
+}
+
 TEST(ChainBuildArena, SteadyStateBuildsPerformZeroReallocations) {
   const Multigraph g = test_graph();
   ChainBuildArena arena;
